@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .elements import GroupElement, GroupId, identity, mat_vec
+from .elements import GroupElement, GroupId, mat_vec
 
 __all__ = [
     "Subgroup",
@@ -133,40 +133,34 @@ def cyclic_exponent(g: GroupElement, h: GroupElement) -> int | None:
         raise ValueError(
             f"cannot test {h.group.name} element against powers of a {g.group.name} element"
         )
-    ord_g = g.order()
-    if ord_g is not None:
-        x = identity(g.group)
-        for k in range(ord_g):
-            if x == h:
-                return k
-            x = x * g
-        return None
-    # Infinite order: the point part of g^k cycles with period m, so h fixes
-    # k mod m; g^m is a nontrivial pure translation, leaving one linear
-    # equation for the quotient.
-    table = g.group.twist.table
-    m = g.group.twist.part_order[g.w]
+    # g^(q*m + r) = (q*T + u_r, w^r) with m the order of the point part w and
+    # T the translation g^m.  The point part of h fixes r = k mod m; then
+    # h.v - u_r = q*T is one linear equation for q, trivial when T = 0.
+    tw = g.group.twist
+    m = tw.part_order[g.w]
     r = None
     wk = 0
     for k in range(m):
         if wk == h.w:
             r = k
             break
-        wk = table[wk][g.w]
+        wk = tw.table[wk][g.w]
     if r is None:
         return None
-    step = (g ** m).v
-    d = (g ** r).inverse() * h
-    if d.w != 0:
-        return None
+    step, _ = tw.power(g.v, g.w, m)
+    u, _ = tw.power(g.v, g.w, r)
+    d = (h.v[0] - u[0], h.v[1] - u[1])
     if step[0]:
-        s, rem = divmod(d.v[0], step[0])
-        if rem or d.v[1] != s * step[1]:
+        s, rem = divmod(d[0], step[0])
+        if rem or d[1] != s * step[1]:
+            return None
+    elif step[1]:
+        s, rem = divmod(d[1], step[1])
+        if rem or d[0] != 0:
             return None
     else:
-        s, rem = divmod(d.v[1], step[1])
-        if rem or d.v[0] != 0:
-            return None
+        # finite order: g^r is the only power with this point part
+        return r if d == (0, 0) else None
     return r + m * s
 
 

@@ -42,6 +42,7 @@ __all__ = [
 
 Vec = tuple[int, int]
 Mat = tuple[Vec, Vec]
+PowerRow = tuple[Mat, Vec, int]
 
 _ID: Mat = ((1, 0), (0, 1))
 _ZERO: Vec = (0, 0)
@@ -101,7 +102,9 @@ class TwistData:
 
     ``action[w]`` is the matrix M_w, ``table[w1][w2]`` the index of the point
     part of w1*w2, and ``cocycle[w1][w2]`` the translation correction tau.
-    The remaining fields are derived at construction time.
+    The remaining fields are derived at construction time.  ``powers[w][r]``
+    is the row (S_r, c_r, w^r), 0 <= r <= m with m the order of w, such that
+    x^r = (S_r v + c_r, w^r) for every x = (v, w).
     """
 
     labels: tuple[str, ...]
@@ -112,10 +115,32 @@ class TwistData:
     action_inv: tuple[Mat, ...]
     action_det: tuple[int, ...]
     part_order: tuple[int, ...]
+    powers: tuple[tuple[PowerRow, ...], ...]
 
     @property
     def size(self) -> int:
         return len(self.labels)
+
+    def power(self, v: Vec, w: int, k: int) -> tuple[Vec, int]:
+        """Normal form (v', w^k) of x^k for x = (v, w) and any integer k.
+
+        Row m of the power table is the pure translation x^m, so with
+        k = q*m + r (floor division, hence also for negative k)
+        x^k = (x^m)^q * x^r = (q*(S_m v + c_m) + S_r v + c_r, w^r).
+        No products are formed, whatever the size of k.
+        """
+        rows = self.powers[w]
+        q, r = divmod(k, len(rows) - 1)
+        n1, n2 = v
+        ((a, b), (c, d)), (e, f), _ = rows[-1]
+        ((ar, br), (cr, dr)), (er, fr), wr = rows[r]
+        return (
+            (
+                q * (a * n1 + b * n2 + e) + ar * n1 + br * n2 + er,
+                q * (c * n1 + d * n2 + f) + cr * n1 + dr * n2 + fr,
+            ),
+            wr,
+        )
 
     def validate(self) -> None:
         """Check the structural laws that make the twisted product a group."""
@@ -155,6 +180,28 @@ def _vadd(a: Vec, b: Vec) -> Vec:
     return (a[0] + b[0], a[1] + b[1])
 
 
+def _power_rows(
+    action: tuple[Mat, ...],
+    table: tuple[tuple[int, ...], ...],
+    cocycle: tuple[tuple[Vec, ...], ...],
+    w: int,
+) -> tuple[PowerRow, ...]:
+    """Rows (S_r, c_r, w^r) for r = 0..m, m the order of w.
+
+    From x^(r+1) = x^r * x: S_(r+1) = S_r + M_(w^r), c_(r+1) = c_r + tau(w^r, w).
+    """
+    s, c, wr = ((0, 0), (0, 0)), _ZERO, 0
+    rows = [(s, c, wr)]
+    for _ in range(len(table)):
+        s = (_vadd(s[0], action[wr][0]), _vadd(s[1], action[wr][1]))
+        c = _vadd(c, cocycle[wr][w])
+        wr = table[wr][w]
+        rows.append((s, c, wr))
+        if wr == 0:
+            return tuple(rows)
+    raise ValueError(f"point part {w} has no finite order in the table")
+
+
 def _make_twist(
     labels: tuple[str, ...],
     action: tuple[Mat, ...],
@@ -162,13 +209,7 @@ def _make_twist(
     cocycle: tuple[tuple[Vec, ...], ...],
 ) -> TwistData:
     inverse_part = tuple(row.index(0) for row in table)
-    part_order = []
-    for w in range(len(labels)):
-        k, x = 1, w
-        while x != 0:
-            x = table[x][w]
-            k += 1
-        part_order.append(k)
+    powers = tuple(_power_rows(action, table, cocycle, w) for w in range(len(labels)))
     data = TwistData(
         labels=labels,
         action=action,
@@ -177,7 +218,8 @@ def _make_twist(
         inverse_part=inverse_part,
         action_inv=tuple(mat_inv(m) for m in action),
         action_det=tuple(mat_det(m) for m in action),
-        part_order=tuple(part_order),
+        part_order=tuple(len(rows) - 1 for rows in powers),
+        powers=powers,
     )
     data.validate()
     return data
@@ -262,11 +304,13 @@ class GroupElement:
 
     def __post_init__(self) -> None:
         n1, n2 = self.v
-        if not isinstance(n1, int) or not isinstance(n2, int):
-            raise TypeError(f"translation exponents must be integers, got {self.v!r}")
+        w = self.w
+        # exact type tests: bool and float parts are rejected, not coerced
+        if type(n1) is not int or type(n2) is not int or type(w) is not int:
+            raise TypeError(f"normal form parts must be integers, got {self.v!r}, {w!r}")
         object.__setattr__(self, "v", (n1, n2))
-        if not 0 <= self.w < self.group.point_order:
-            raise ValueError(f"invalid point part {self.w!r} for {self.group.name}")
+        if not 0 <= w < self.group.point_order:
+            raise ValueError(f"invalid point part {w!r} for {self.group.name}")
 
     def is_identity(self) -> bool:
         return self.w == 0 and self.v == (0, 0)
@@ -306,16 +350,8 @@ class GroupElement:
     def __pow__(self, k: int) -> "GroupElement":
         if not isinstance(k, int):
             return NotImplemented
-        if k < 0:
-            return (self ** -k).inverse()
-        result = identity(self.group)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        v, w = _TWIST[self.group].power(self.v, self.w, k)
+        return GroupElement(self.group, v, w)
 
     def order(self) -> int | None:
         """Smallest k >= 1 with x^k = 1, or None when no power is trivial.
@@ -324,10 +360,9 @@ class GroupElement:
         the order m of w in the point group; x^m is then a pure translation,
         trivial or of infinite order.  Hence a single bounded check decides.
         """
-        if self.w == 0:
-            return 1 if self.v == (0, 0) else None
-        m = _TWIST[self.group].part_order[self.w]
-        return m if (self ** m).is_identity() else None
+        tw = _TWIST[self.group]
+        m = tw.part_order[self.w]
+        return m if tw.power(self.v, self.w, m)[0] == _ZERO else None
 
     def orientation_character(self) -> int:
         """+1 on orientation-preserving elements, -1 on glide cosets."""

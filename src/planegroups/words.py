@@ -18,6 +18,7 @@ Formatting always emits the canonical ``new``-alphabet normal form
 from __future__ import annotations
 
 import enum
+import string
 from dataclasses import dataclass
 
 from .elements import GroupElement, GroupId, identity
@@ -60,7 +61,7 @@ class Word:
 
 
 class WordSyntaxError(ValueError):
-    """Raised on malformed word text; carries the byte offset of the fault."""
+    """Raised on malformed word text; carries the character offset of the fault."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} at offset {offset}")
@@ -141,17 +142,25 @@ def generator(group: GroupId, name: str, alphabet: Alphabet = Alphabet.NEW) -> G
         ) from None
 
 
+# str.isalpha, isdigit and isspace accept non-ASCII characters such as
+# "\u00b2", which int() then rejects or reads as another number.
+_LETTERS = frozenset(string.ascii_letters)
+_DIGITS = frozenset(string.digits)
+_SPACES = frozenset(string.whitespace)
+
+
 def parse_word(text: str, group: GroupId, alphabet: Alphabet = Alphabet.NEW) -> Word:
     """Parse word text, validating generator names against (group, alphabet).
 
-    Errors carry the byte offset of the offending character.  The bare token
+    Errors carry the character offset (index into ``text``) of the offending
+    character.  Letters, digits and whitespace are ASCII only.  The bare token
     ``1`` is accepted as the identity so that formatter output parses back.
     """
     legal = _GENERATORS[(group, alphabet)]
     letters: list[GeneratorSymbol] = []
     i = 0
     n = len(text)
-    while i < n and text[i].isspace():
+    while i < n and text[i] in _SPACES:
         i += 1
     while i < n:
         start = i
@@ -159,10 +168,10 @@ def parse_word(text: str, group: GroupId, alphabet: Alphabet = Alphabet.NEW) -> 
         if ch == "1":
             name = "1"
             i += 1
-        elif ch.isalpha():
-            while i < n and text[i].isalpha():
+        elif ch in _LETTERS:
+            while i < n and text[i] in _LETTERS:
                 i += 1
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in _DIGITS:
                 i += 1
             name = text[start:i]
         else:
@@ -173,9 +182,9 @@ def parse_word(text: str, group: GroupId, alphabet: Alphabet = Alphabet.NEW) -> 
             sign_start = i
             if i < n and text[i] in "+-":
                 i += 1
-            if i >= n or not text[i].isdigit():
+            if i >= n or text[i] not in _DIGITS:
                 raise WordSyntaxError("malformed exponent", sign_start)
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in _DIGITS:
                 i += 1
             exponent = int(text[sign_start:i])
         if name != "1":
@@ -188,13 +197,13 @@ def parse_word(text: str, group: GroupId, alphabet: Alphabet = Alphabet.NEW) -> 
             if exponent != 0:
                 letters.append(GeneratorSymbol(name, exponent))
         saw_separator = False
-        while i < n and text[i].isspace():
+        while i < n and text[i] in _SPACES:
             i += 1
             saw_separator = True
         if i < n and text[i] == "*":
             i += 1
             saw_separator = True
-            while i < n and text[i].isspace():
+            while i < n and text[i] in _SPACES:
                 i += 1
             if i >= n:
                 raise WordSyntaxError("empty generator name", i)

@@ -2,7 +2,8 @@
 
 Run ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL line per
 criterion.  Every check is exact (integer and rational arithmetic only); the
-whole suite completes in about a minute single-threaded.
+whole test suite completes in about 30 seconds single-threaded (Python 3.11,
+2-vCPU Linux host).
 """
 
 import io

@@ -14,6 +14,7 @@ from planegroups import (
     translation,
 )
 from planegroups.elements import mat_det, mat_inv, mat_mul, mat_vec
+from planegroups.oracle import AffineIsometry, affine_image
 
 from conftest import ALL_GROUPS, group_and_elements
 
@@ -129,6 +130,47 @@ def test_power_examples():
     assert a ** 4 == translation(GroupId.G1, 2, 0)
 
 
+def _affine_power(f: AffineIsometry, k: int) -> AffineIsometry:
+    """f^k by square-and-multiply on exact affine maps."""
+    if k < 0:
+        f, k = f.inverse(), -k
+    result = AffineIsometry.identity_map()
+    while k:
+        if k & 1:
+            result = result * f
+        f = f * f
+        k >>= 1
+    return result
+
+
+def _linear_order(m) -> int:
+    j, p = 1, m
+    while p != ((1, 0), (0, 1)):
+        j, p = j + 1, mat_mul(p, m)
+    return j
+
+
+@pytest.mark.parametrize("gid", ALL_GROUPS)
+def test_powers_and_orders_match_affine_maps(gid):
+    # x^k is affine in v, so (0, 0), (1, 0), (0, 1) already pin down the
+    # power table row; (-2, 5) is a spot check.  The expected values come
+    # from composing the isometries of oracle.affine_image, and m from the
+    # linear part alone, so no table of the elements module is consulted.
+    for w in range(gid.point_order):
+        for v in [(0, 0), (1, 0), (0, 1), (-2, 5)]:
+            x = GroupElement(gid, v, w)
+            img = affine_image(x)
+            m = _linear_order(img.linear)
+            exponents = {0, 10**30, -(10**30)}
+            exponents.update(range(-(2 * m + 1), 2 * m + 2))
+            exponents.update(s * (q * m + e) for q in (1, 2, 3) for e in (-1, 1) for s in (-1, 1))
+            for k in exponents:
+                assert affine_image(x ** k) == _affine_power(img, k), (x, k)
+            trivial = [j for j in range(1, m + 1) if _affine_power(img, j).is_identity()]
+            expected = trivial[0] if trivial else None
+            assert x.order() == expected, x
+
+
 TORSION_PART_ORDERS = {
     # cosets with torsion: every element of the coset has exactly this order
     GroupId.G2: {1: 2},
@@ -188,6 +230,11 @@ def test_invalid_point_part_rejected():
 def test_non_integer_exponents_rejected():
     with pytest.raises(TypeError):
         GroupElement(GroupId.G0, (0.5, 0), 0)
+    # bool is an int subclass but no exponent or point part; nor is a float
+    bad = [((0, 0), 1.0), ((True, False), True), ((True, 0), 0), ((0, 0), True), ((0, 0), "1")]
+    for v, w in bad:
+        with pytest.raises(TypeError):
+            GroupElement(GroupId.G4, v, w)
 
 
 def test_matrix_helpers():

@@ -64,6 +64,10 @@ def test_parse_negative_exponents():
         ("t1*", 3),
         ("* a", 0),
         ("a$b", 1),
+        # the grammar is ASCII: other Unicode digits are not exponents
+        ("t1^\u00b2", 3),
+        ("t1^\u0661", 3),
+        ("t1\u3000t2", 2),
     ],
 )
 def test_parse_errors_carry_offsets(text, offset):
